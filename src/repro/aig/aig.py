@@ -46,6 +46,10 @@ class NodeType(enum.IntEnum):
     FREE = 3
 
 
+#: Attributes derived from the structure; not part of the pickle state.
+_DERIVED_STATE = ("_levels", "_forwarding", "_rewired")
+
+
 class AigError(RuntimeError):
     """Raised on malformed operations on an :class:`Aig`."""
 
@@ -78,13 +82,15 @@ class Aig:
         self._po_names: List[Optional[str]] = []
         # Structural hash: (fanin0, fanin1) sorted -> node id.
         self._strash: Dict[Tuple[int, int], int] = {}
-        # Lazily recomputed levels.
-        self._levels: Optional[List[int]] = None
+        # Logic level per node slot, kept exact by every edit (freed slots
+        # are 0).  ``None`` only on an unpickled network until first use.
+        self._levels: Optional[List[int]] = [0]
         #: Incremented on every structural change; lets caches (cut sets,
         #: simulation signatures, …) detect that they are stale.
         self.modification_count = 0
         # Populated only while a replacement cascade is running (see replace()).
         self._forwarding: Dict[int, int] = {}
+        self._rewired: List[int] = []
         # Optional mutation journal (see journal_begin/journal_end): while
         # active, the id of every *pre-existing* node whose fanins, fanout
         # set, PO references or liveness change is recorded.  The batched
@@ -122,9 +128,10 @@ class Aig:
     def add_pi(self, name: Optional[str] = None) -> int:
         """Create a primary input and return its (positive) literal."""
         node = self._new_node(NodeType.PI, CONST0, CONST0)
+        if self._levels is not None:
+            self._levels.append(0)
         self._pis.append(node)
         self._pi_names.append(name)
-        self._invalidate_levels()
         return lit(node)
 
     def add_po(self, driver: int, name: Optional[str] = None) -> int:
@@ -155,6 +162,11 @@ class Aig:
         if existing is not None:
             return lit(existing)
         node = self._new_node(NodeType.AND, key[0], key[1])
+        levels = self._levels
+        if levels is not None:
+            l0 = levels[key[0] >> 1]
+            l1 = levels[key[1] >> 1]
+            levels.append((l0 if l0 >= l1 else l1) + 1)
         self._strash[key] = node
         self._fanouts[lit_var(key[0])].add(node)
         self._fanouts[lit_var(key[1])].add(node)
@@ -164,7 +176,6 @@ class Aig:
             # their MFFC membership as seen by other candidates) changed.
             journal.add(lit_var(key[0]))
             journal.add(lit_var(key[1]))
-        self._invalidate_levels()
         return lit(node)
 
     def find_and(self, lit0: int, lit1: int) -> Optional[int]:
@@ -372,33 +383,90 @@ class Aig:
     # Levels / depth
     # ------------------------------------------------------------------ #
     def level(self, node: int) -> int:
-        """Return the logic level of ``node`` (PIs and the constant are level 0)."""
-        self._ensure_levels()
-        assert self._levels is not None
-        return self._levels[node]
+        """Return the logic level of ``node`` (PIs and the constant are level 0).
+
+        Levels are maintained incrementally: :meth:`add_pi` and
+        :meth:`add_and` append the new node's level, :meth:`replace`
+        re-levels the gates it rewired and their fanouts, and freed slots
+        read 0.  Between public calls every live AND node therefore holds
+        ``1 + max(level(fanin0), level(fanin1))`` exactly, so a read costs
+        one list lookup.
+        """
+        return self._ensure_levels()[node]
 
     def depth(self) -> int:
         """Return the largest PO level, i.e. the AIG depth."""
-        self._ensure_levels()
-        assert self._levels is not None
+        levels = self._ensure_levels()
         if not self._pos:
-            live = [self._levels[n] for n in self.nodes()]
+            live = [levels[n] for n in self.nodes()]
             return max(live) if live else 0
-        return max(self._levels[lit_var(po)] for po in self._pos)
+        return max(levels[lit_var(po)] for po in self._pos)
 
-    def _ensure_levels(self) -> None:
-        if self._levels is not None:
-            return
-        levels = [0] * len(self._type)
-        for node in self.topological_order():
-            levels[node] = 1 + max(
-                levels[lit_var(self._fanin0[node])],
-                levels[lit_var(self._fanin1[node])],
-            )
-        self._levels = levels
+    def _ensure_levels(self) -> List[int]:
+        """Return the per-slot level list (shared, do not mutate)."""
+        levels = self._levels
+        if levels is None:
+            from repro.aig.kernels import cached_topological_order
 
-    def _invalidate_levels(self) -> None:
-        self._levels = None
+            levels = [0] * len(self._type)
+            fanin0, fanin1 = self._fanin0, self._fanin1
+            for node in cached_topological_order(self):
+                l0 = levels[fanin0[node] >> 1]
+                l1 = levels[fanin1[node] >> 1]
+                levels[node] = (l0 if l0 >= l1 else l1) + 1
+            self._levels = levels
+        return levels
+
+    def _relevel(self, seeds: Iterable[int]) -> None:
+        """Restore exact levels after the fanins of ``seeds`` changed.
+
+        A bucket queue visits nodes in increasing stored level, and a node's
+        fanouts are queued only when its level actually changed, so the walk
+        stays inside the region whose levels move and visits most nodes once.
+        """
+        levels = self._levels
+        node_type, fanin0, fanin1, fanouts = (
+            self._type, self._fanin0, self._fanin1, self._fanouts
+        )
+        and_type = NodeType.AND
+        # No acyclic network has a level above its slot count.
+        limit = len(node_type)
+        queued = set(seeds)
+        buckets: Dict[int, List[int]] = {}
+        for node in queued:
+            buckets.setdefault(levels[node], []).append(node)
+        current = min(buckets, default=0)
+        top = max(buckets, default=-1)
+        while current <= top:
+            bucket = buckets.pop(current, None)
+            if bucket is not None:
+                # Nodes queued at or below ``current`` join this bucket.
+                for node in bucket:
+                    queued.discard(node)
+                    if node_type[node] != and_type:
+                        continue
+                    l0 = levels[fanin0[node] >> 1]
+                    l1 = levels[fanin1[node] >> 1]
+                    level = (l0 if l0 >= l1 else l1) + 1
+                    if level == levels[node]:
+                        continue
+                    if level > limit:
+                        raise AigError(f"combinational cycle through node {node}")
+                    levels[node] = level
+                    for fanout in fanouts[node]:
+                        if fanout in queued:
+                            continue
+                        queued.add(fanout)
+                        key = levels[fanout]
+                        if key <= current:
+                            bucket.append(fanout)
+                        elif key in buckets:
+                            buckets[key].append(fanout)
+                        else:
+                            buckets[key] = [fanout]
+                            if key > top:
+                                top = key
+            current += 1
 
     # ------------------------------------------------------------------ #
     # Traversal
@@ -475,9 +543,19 @@ class Aig:
         ``Dec_GraphUpdateNetwork`` in ABC and is the primitive used by all
         optimization passes.
 
+        Logic levels stay exact: the gates rewired in place are re-levelled
+        afterwards, together with their fanouts until the levels stop changing.
+
+        The cycle check is bounded by level.  A node whose level is at most
+        ``level(old_node)`` cannot have ``old_node`` in its fanin cone unless
+        it is ``old_node`` itself, so the search from ``new_lit`` stops at
+        such nodes and only walks the part of ``new_lit``'s cone above
+        ``old_node``.  It still answers exactly whether ``old_node`` lies in
+        the transitive fanin of ``new_lit``.
+
         Raises
         ------
-        AigError
+        AigCycleError
             If ``old_node`` lies in the transitive fanin of ``new_lit`` — such
             a replacement would create a combinational cycle.
         """
@@ -486,9 +564,7 @@ class Aig:
         self._check_literal(new_lit)
         if lit_var(new_lit) == old_node:
             return
-        if self.is_and(lit_var(new_lit)) and old_node in self.transitive_fanin(
-            lit_var(new_lit), include_node=True
-        ):
+        if self._reaches(lit_var(new_lit), old_node):
             raise AigCycleError(
                 f"replacing node {old_node} with literal {new_lit} would create a cycle"
             )
@@ -498,12 +574,41 @@ class Aig:
         # during the cascade), the literal it is being replaced with.  Every
         # literal written while the cascade runs is resolved through this map
         # so nothing can ever be re-pointed at a half-dismantled node.
-        self._forwarding: Dict[int, int] = {}
+        # ``_rewired`` collects the gates that got new fanins in place.
+        self._forwarding = {}
+        self._rewired = []
         try:
             self._replace_recursive(old_node, new_lit)
+        except BaseException:
+            self._levels = None
+            raise
+        else:
+            self._relevel(self._rewired)
         finally:
             self._forwarding = {}
-        self._invalidate_levels()
+            self._rewired = []
+
+    def _reaches(self, root: int, target: int) -> bool:
+        """Return whether ``target`` is ``root`` or lies in its transitive fanin.
+
+        Only nodes above ``level(target)`` are expanded (see :meth:`replace`).
+        """
+        levels = self._ensure_levels()
+        bound = levels[target]
+        if levels[root] <= bound:
+            return root == target
+        fanin0, fanin1 = self._fanin0, self._fanin1
+        stack = [root]
+        seen = {root}
+        while stack:
+            node = stack.pop()
+            for fanin in (fanin0[node] >> 1, fanin1[node] >> 1):
+                if fanin == target:
+                    return True
+                if levels[fanin] > bound and fanin not in seen:
+                    seen.add(fanin)
+                    stack.append(fanin)
+        return False
 
     def _resolve_forwarding(self, literal: int) -> int:
         """Follow the forwarding chain of ``literal`` to its final live target."""
@@ -577,6 +682,7 @@ class Aig:
                 self._strash[key] = fanout
                 self._fanouts[lit_var(key[0])].add(fanout)
                 self._fanouts[lit_var(key[1])].add(fanout)
+                self._rewired.append(fanout)
                 return
             if existing == fanout:
                 return
@@ -616,6 +722,8 @@ class Aig:
             self._fanin0[current] = CONST0
             self._fanin1[current] = CONST0
             self._fanouts[current] = set()
+            if self._levels is not None:
+                self._levels[current] = 0
 
     def cleanup(self) -> int:
         """Delete AND nodes not reachable from any PO; return how many were removed."""
@@ -634,7 +742,6 @@ class Aig:
                 if self.fanout_count(node) == 0:
                     self._delete_cone(node)
                     removed += 1
-        self._invalidate_levels()
         return removed
 
     # ------------------------------------------------------------------ #
@@ -689,9 +796,13 @@ class Aig:
         Fanout sets iterate in hash-table order, which depends on the mutation
         history of the network; serializing them sorted makes equal networks
         pickle to equal bytes, so results shipped back from evaluator worker
-        processes are bit-for-bit comparable across backends.
+        processes are bit-for-bit comparable across backends.  Derived state
+        (the level list and the replacement scratch) is left out for the same
+        reason and rebuilt on demand after unpickling.
         """
         state = self.__dict__.copy()
+        for derived in _DERIVED_STATE:
+            state.pop(derived, None)
         state["_fanouts"] = [sorted(fanouts) for fanouts in self._fanouts]
         return state
 
@@ -699,6 +810,9 @@ class Aig:
         state = dict(state)
         state["_fanouts"] = [set(fanouts) for fanouts in state["_fanouts"]]
         self.__dict__.update(state)
+        self._levels = None
+        self._forwarding = {}
+        self._rewired = []
 
     def to_networkx(self):
         """Export the AIG as a ``networkx.DiGraph`` (edges carry ``inverted`` flags)."""

@@ -130,15 +130,8 @@ class LevelizedAig:
         topo = cached_topological_order(aig)
         self.topo_order = topo
 
-        # Logic levels (one scalar pass over the topological order).
-        levels = [0] * self.num_slots
-        fanin0 = aig._fanin0
-        fanin1 = aig._fanin1
-        for node in topo:
-            l0 = levels[fanin0[node] >> 1]
-            l1 = levels[fanin1[node] >> 1]
-            levels[node] = (l0 if l0 >= l1 else l1) + 1
-        self.levels = np.array(levels, dtype=np.int64)
+        # Logic levels: the network keeps them exact (freed slots read 0).
+        self.levels = np.array(aig._ensure_levels(), dtype=np.int64)
 
         # Level-major AND arrays.
         and_ids = np.array(topo, dtype=np.int64) if topo else np.zeros(0, np.int64)
@@ -146,8 +139,8 @@ class LevelizedAig:
         order = np.lexsort((and_ids, and_levels))
         and_ids = and_ids[order]
         and_levels = and_levels[order]
-        f0 = np.array(fanin0, dtype=np.int64)[and_ids]
-        f1 = np.array(fanin1, dtype=np.int64)[and_ids]
+        f0 = np.array(aig._fanin0, dtype=np.int64)[and_ids]
+        f1 = np.array(aig._fanin1, dtype=np.int64)[and_ids]
         self.and_ids = and_ids
         self.fanin0_var = f0 >> 1
         self.fanin1_var = f1 >> 1

@@ -60,7 +60,7 @@ def find_resub_candidate(
     window = _collect_window(aig, leaves, params.max_window)
     if node not in window:
         return None
-    tfo = aig.transitive_fanout(node, include_node=True)
+    tfo = _window_fanout(aig, node, window)
     divisors = [
         candidate
         for candidate in window
@@ -248,6 +248,25 @@ def _collect_window(aig: Aig, leaves: Sequence[int], max_window: int) -> Set[int
         frontier = next_frontier
     window.discard(0)
     return window
+
+
+def _window_fanout(aig: Aig, node: int, window: Set[int]) -> Set[int]:
+    """Return ``transitive_fanout(node, include_node=True) & window``.
+
+    The walk never leaves the window, and that loses nothing: every non-leaf
+    window node has both fanins in the window, and no cut leaf can lie in
+    ``node``'s fanout cone (the leaves are in its fanin cone).  So the last
+    step of any fanout path from ``node`` to a window node starts inside the
+    window, and by induction so does the whole path.
+    """
+    cone = {node}
+    stack = [node]
+    while stack:
+        for fanout in aig._fanouts[stack.pop()]:
+            if fanout in window and fanout not in cone:
+                cone.add(fanout)
+                stack.append(fanout)
+    return cone
 
 
 def _window_truth_tables(

@@ -1,5 +1,7 @@
 """Tests for AIG construction, structural hashing and basic queries."""
 
+import pickle
+
 import pytest
 
 from repro.aig.aig import Aig, AigError, NodeType
@@ -127,6 +129,30 @@ def test_levels_and_depth():
     assert aig.level(lit_var(g1)) == 1
     assert aig.level(lit_var(g2)) == 2
     assert aig.depth() == 2
+
+
+def _three_pi_two_and():
+    aig = Aig("p")
+    x, y, z = aig.add_pi(), aig.add_pi(), aig.add_pi()
+    aig.add_po(aig.add_and(aig.add_and(x, y), z))
+    return aig
+
+
+def test_pickle_is_canonical_regardless_of_level_queries():
+    queried, untouched = _three_pi_two_and(), _three_pi_two_and()
+    assert queried.depth() == 2
+    assert pickle.dumps(queried) == pickle.dumps(untouched)
+    # Levels are rebuilt after unpickling and the bytes do not change.
+    clone = pickle.loads(pickle.dumps(queried))
+    assert pickle.dumps(clone) == pickle.dumps(untouched)
+    assert clone.depth() == 2
+    assert pickle.dumps(clone) == pickle.dumps(untouched)
+    # An edit straight after unpickling, before any level query.
+    fresh = pickle.loads(pickle.dumps(untouched))
+    x, _, z = fresh.pi_literals()
+    assert fresh.level(lit_var(fresh.add_and(x, lit_not(z)))) == 1
+    assert fresh.depth() == 2
+
 
 
 def test_check_rejects_bad_literal():

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aig.aig import Aig
+from repro.aig.aig import Aig, AigCycleError
 from repro.aig.equivalence import check_equivalence
 from repro.aig.literals import lit_var
 from repro.aig.random_aig import RandomAigSpec, random_aig
@@ -98,3 +98,63 @@ def test_cut_truth_tables_consistent_with_simulation(spec):
         bit = (int(signature[word]) >> offset) & 1
         simulated |= bit << pattern
     assert simulated == table & table_mask(aig.num_pis())
+
+
+def _levels_from_scratch(aig):
+    levels = {node: 0 for node in aig.all_live_nodes()}
+    for node in aig.topological_order():
+        f0, f1 = aig.fanins(node)
+        levels[node] = 1 + max(levels[lit_var(f0)], levels[lit_var(f1)])
+    return levels
+
+
+def _assert_levels_exact(aig):
+    aig.check()
+    for node, level in _levels_from_scratch(aig).items():
+        assert aig.level(node) == level, node
+
+
+#: One edit: (kind, pick_a, pick_b, complement).  Kinds: 0 replace with any
+#: live node, 1 replace with a node of ``old``'s fanout cone, 2 add_and,
+#: 3 cleanup.
+edits = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=10_000),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(aig_specs, edits)
+def test_bounded_cycle_check_is_exact_and_levels_stay_exact(spec, moves):
+    """``replace`` raises exactly on cycles; levels stay exact after every edit."""
+    aig = random_aig(spec)
+    for kind, pick_a, pick_b, complement in moves:
+        live = [n for n in aig.all_live_nodes() if not aig.is_const(n)]
+        if kind == 3:
+            aig.cleanup()
+        elif kind == 2:
+            first = live[pick_a % len(live)]
+            second = live[pick_b % len(live)]
+            aig.add_and(2 * first + complement, 2 * second)
+        else:
+            old = live[pick_a % len(live)]
+            pool = sorted(aig.transitive_fanout(old)) if kind == 1 else []
+            pool = pool or [0] + live
+            new_node = pool[pick_b % len(pool)]
+            if new_node == old:
+                continue
+            new_lit = 2 * new_node + complement
+            cycle = old in aig.transitive_fanin(new_node, include_node=True)
+            try:
+                aig.replace(old, new_lit)
+            except AigCycleError:
+                assert cycle
+            else:
+                assert not cycle
+        _assert_levels_exact(aig)

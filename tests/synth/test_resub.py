@@ -1,9 +1,14 @@
 """Tests for resubstitution."""
 
+import pytest
+
+import repro.synth.resub as resub_module
+from repro import Engine, Pipeline
 from repro.aig.aig import Aig
 from repro.aig.equivalence import check_equivalence
 from repro.aig.literals import lit_var
-from repro.synth.resub import ResubParams, find_resub_candidate
+from repro.aig.reconv_cut import reconvergence_driven_cut
+from repro.synth.resub import ResubParams, _collect_window, _window_fanout, find_resub_candidate
 from repro.synth.scripts import resub_pass
 
 
@@ -92,3 +97,39 @@ def test_divisor_never_in_fanout_cone(small_random_aig):
             candidate.apply(small_random_aig)
             small_random_aig.check()  # would raise on a cycle
             break
+
+
+def test_window_fanout_filter_excludes_window_nodes_in_the_fanout_cone():
+    """t = AND(n, a) computes n's function but lies in n's fanout cone.
+
+    Both of t's fanins are in n's window, so the filter has to remove it:
+    otherwise 0-resub would replace n by t and close a cycle.
+    """
+    aig = Aig()
+    a, b = aig.add_pi("a"), aig.add_pi("b")
+    n = aig.add_and(a, b)
+    t = aig.add_and(n, a)
+    aig.add_po(t, "t")
+    n_node, t_node = lit_var(n), lit_var(t)
+    window = _collect_window(aig, reconvergence_driven_cut(aig, n_node), 120)
+    assert t_node in window
+    assert _window_fanout(aig, n_node, window) == {n_node, t_node}
+    assert find_resub_candidate(aig, n_node) is None
+
+
+@pytest.mark.parametrize(
+    "design", ["b07", "b08", "b09", "b10", "b11", "b12", "c880", "c2670", "c5315"]
+)
+def test_window_fanout_matches_full_fanout_cone(design, monkeypatch):
+    """The window-bounded walk equals ``transitive_fanout & window`` on every call."""
+    calls = []
+
+    def checked(aig, node, window):
+        cone = _window_fanout(aig, node, window)
+        assert cone == aig.transitive_fanout(node, include_node=True) & window
+        calls.append(node)
+        return cone
+
+    monkeypatch.setattr(resub_module, "_window_fanout", checked)
+    Engine.load(design).run(Pipeline.parse("rs"))
+    assert calls
