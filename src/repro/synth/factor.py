@@ -13,16 +13,10 @@ into an AIG replacement fragment (:mod:`repro.synth.fragment`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.aig.truth import table_mask
-from repro.synth.sop import (
-    Cover,
-    Cube,
-    cube_from_literals,
-    divide_by_literal,
-    literal_counts,
-)
+from repro.synth.sop import Cover
 
 
 @dataclass(frozen=True)
@@ -98,53 +92,129 @@ class Expr:
 
 def factor_cover(cover: Cover) -> Expr:
     """Return a factored form of the cover using quick (literal-based) factoring."""
-    if not cover:
+    return factor_cubes([(cube.pos, cube.neg) for cube in cover])
+
+
+def factor_cubes(cubes: Sequence[Tuple[int, int]]) -> Expr:
+    """Quick factoring of a cover given as ``(pos, neg)`` bitmask pairs.
+
+    Each step either pulls out the cube common to every product term or
+    divides by the most frequent literal (the first in variable order,
+    positive before negative, among those appearing more than once), and
+    emits the flat SOP when neither applies.  Both moves only ever *remove*
+    literals that every cube of the current subset contains, so a recursive
+    call is fully described by a bitset of cube indices plus the removed
+    literals.  Literal counts are popcounts of per-literal cube bitsets, and
+    each call scans only the literals its subset still contains.
+
+    Literal ``2 * var + negated`` is bit ``2 * var + negated`` of a cube's
+    literal mask, so ascending bit order is variable order with the
+    positive literal first.
+    """
+    if not cubes:
         return Expr.const0()
-    if any(cube.is_tautology() for cube in cover):
-        return Expr.const1()
-    if len(cover) == 1:
-        return _cube_expr(cover[0])
+    literal_masks = [_spread(pos) | (_spread(neg) << 1) for pos, neg in cubes]
+    # Per literal: the bitset of the cubes containing it, read off the
+    # columns of the cube-by-literal bit matrix (last cube in the top row,
+    # so each column parses straight into the bitset).
+    width = max(max(literal_masks).bit_length(), 1)
+    rows = [format(mask, "0%db" % width) for mask in reversed(literal_masks)]
+    leaves = [_literal(index) for index in range(width)]
+    literals = []
+    for index, column in enumerate(reversed(list(zip(*rows)))):
+        cubes_with = int("".join(column), 2)
+        if cubes_with:
+            literals.append((cubes_with, 1 << index, leaves[index]))
 
-    # 1. Extract the largest common cube shared by every product term.
-    common_pos = cover[0].pos
-    common_neg = cover[0].neg
-    for cube in cover[1:]:
-        common_pos &= cube.pos
-        common_neg &= cube.neg
-    if common_pos or common_neg:
-        common = Cube(common_pos, common_neg)
-        reduced = [
-            Cube(cube.pos & ~common_pos, cube.neg & ~common_neg) for cube in cover
-        ]
-        return Expr.and_([_cube_expr(common), factor_cover(reduced)])
+    def cube_expr(mask: int) -> Expr:
+        if not mask & (mask - 1):
+            return leaves[mask.bit_length() - 1] if mask else _CONST1
+        factors = []
+        while mask:
+            low = mask & -mask
+            factors.append(leaves[low.bit_length() - 1])
+            mask ^= low
+        return Expr("and", children=tuple(factors))
 
-    # 2. Divide by the most frequent literal (when it appears more than once).
-    num_vars = max((cube.pos | cube.neg) for cube in cover).bit_length()
-    counts = literal_counts(cover, num_vars)
-    best_var, best_negative, best_count = -1, False, 1
-    for var, (positive, negative) in enumerate(counts):
-        if positive > best_count:
-            best_var, best_negative, best_count = var, False, positive
-        if negative > best_count:
-            best_var, best_negative, best_count = var, True, negative
-    if best_var < 0:
-        # No sharing opportunities: emit the flat SOP.
-        return Expr.or_([_cube_expr(cube) for cube in cover])
+    def factor(subset: int, active: list, removed: int) -> Expr:
+        """Factor the cubes in ``subset`` with the ``removed`` literals dropped.
 
-    quotient, remainder = divide_by_literal(cover, best_var, best_negative)
-    divided = Expr.and_(
-        [Expr.literal(best_var, best_negative), factor_cover(quotient)]
-    )
-    if not remainder:
-        return divided
-    return Expr.or_([divided, factor_cover(remainder)])
+        Every cube of ``subset`` contains all removed literals.  ``active``
+        holds every other literal that occurs in ``subset``, possibly with
+        absent or removed ones, which are skipped.
+        """
+        if not subset & (subset - 1):
+            # One cube; with every literal removed it is the empty cube (1).
+            return cube_expr(literal_masks[subset.bit_length() - 1] & ~removed)
+        covered = 0
+        common = 0
+        kept = []
+        best = None
+        best_count = 1
+        for entry in active:
+            cubes_with, lbit, _ = entry
+            inside = cubes_with & subset
+            if not inside:
+                continue
+            if inside == subset:
+                # In every cube: a common literal, or the literal that the
+                # caller divided by (already removed).
+                if not lbit & removed:
+                    covered = subset
+                    common |= lbit
+                continue
+            covered |= inside
+            kept.append(entry)
+            if inside & (inside - 1):
+                count = bin(inside).count("1")
+                if count > best_count:
+                    best, best_count = entry, count
+        if covered != subset:
+            # A cube with no literal left is the constant-1 product term.
+            return _CONST1
+        # 1. Extract the largest common cube shared by every product term.
+        if common:
+            return Expr("and", children=(cube_expr(common), factor(subset, kept, removed | common)))
+        # 2. Divide by the most frequent literal (when it appears more than once).
+        if best is None:
+            # No sharing opportunities: emit the flat SOP.
+            terms = []
+            while subset:
+                low = subset & -subset
+                terms.append(cube_expr(literal_masks[low.bit_length() - 1] & ~removed))
+                subset ^= low
+            return Expr("or", children=tuple(terms))
+        cubes_with, lbit, expr = best
+        # The literal is not in every cube, so the remainder is never empty.
+        divided = Expr("and", children=(expr, factor(subset & cubes_with, kept, removed | lbit)))
+        return Expr("or", children=(divided, factor(subset & ~cubes_with, kept, removed)))
+
+    return factor((1 << len(cubes)) - 1, literals, 0)
 
 
-def _cube_expr(cube: Cube) -> Expr:
-    literals = [Expr.literal(var, negated) for var, negated in cube.literals()]
-    if not literals:
-        return Expr.const1()
-    return Expr.and_(literals)
+_CONST1 = Expr.const1()
+_LITERALS: Dict[int, Expr] = {}
+#: ``_SPREAD_BYTE[b]`` moves bit ``i`` of byte ``b`` to bit ``2 * i``.
+_SPREAD_BYTE = [sum(((byte >> i) & 1) << (2 * i) for i in range(8)) for byte in range(256)]
+
+
+def _spread(mask: int) -> int:
+    """Move bit ``i`` of ``mask`` to bit ``2 * i`` (variable -> literal index)."""
+    spread = 0
+    shift = 0
+    while mask:
+        spread |= _SPREAD_BYTE[mask & 255] << shift
+        mask >>= 8
+        shift += 16
+    return spread
+
+
+def _literal(index: int) -> Expr:
+    """Shared leaf of literal ``2 * var + negated`` (``Expr`` is immutable)."""
+    expr = _LITERALS.get(index)
+    if expr is None:
+        expr = _LITERALS[index] = Expr.literal(index >> 1, bool(index & 1))
+    return expr
 
 
 def expr_truth_table(expr: Expr, num_vars: int) -> int:
@@ -168,6 +238,7 @@ def expr_truth_table(expr: Expr, num_vars: int) -> int:
 
 def factor_truth_table(table: int, num_vars: int) -> Expr:
     """ISOP + quick factoring of a completely specified function."""
-    from repro.synth.isop import isop_cover
+    from repro.synth.isop import isop_cubes
 
-    return factor_cover(isop_cover(table, num_vars))
+    table &= table_mask(num_vars)
+    return factor_cubes(isop_cubes(table, table, num_vars))

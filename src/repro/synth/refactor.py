@@ -19,22 +19,39 @@ from repro.aig.literals import lit, lit_not
 from repro.aig.reconv_cut import reconvergence_driven_cut
 from repro.aig.truth import cut_truth_table, table_mask
 from repro.synth.candidates import TransformCandidate
-from repro.synth.factor import factor_cover
+from repro.synth.factor import factor_cubes
 from repro.synth.fragment import Fragment
-from repro.synth.isop import isop_cover
+from repro.synth.isop import isop_cubes
 from repro.synth.mffc import mffc_nodes
+
+#: Process-wide memo of factored fragments, keyed by ``(table, num_vars)``.
+#: Cone functions recur heavily across nodes, sweeps and jobs, and the
+#: factored form is a pure function of the table, so sharing is safe.
+_FRAGMENTS: Dict[Tuple[int, int], Fragment] = {}
 
 
 def refactor_fragment(table: int, num_vars: int) -> Fragment:
-    """Factor ``table`` in both polarities and return the cheaper fragment."""
-    positive = Fragment.from_expression(
-        factor_cover(isop_cover(table, num_vars)), num_vars
-    )
-    negative = Fragment.from_expression(
-        factor_cover(isop_cover(table ^ table_mask(num_vars), num_vars)), num_vars
-    )
-    negative.output = lit_not(negative.output)
-    return positive if positive.size <= negative.size else negative
+    """Factor ``table`` in both polarities and return the cheaper fragment.
+
+    Results are memoized process-wide; the returned fragment is shared and
+    must not be mutated.
+    """
+    key = (table, num_vars)
+    fragment = _FRAGMENTS.get(key)
+    if fragment is None:
+        mask = table_mask(num_vars)
+        table &= mask
+        positive = _factor_fragment(table, num_vars)
+        negative = _factor_fragment(table ^ mask, num_vars)
+        negative.output = lit_not(negative.output)
+        fragment = positive if positive.size <= negative.size else negative
+        _FRAGMENTS[key] = fragment
+    return fragment
+
+
+def _factor_fragment(table: int, num_vars: int) -> Fragment:
+    """ISOP, quick factoring and AIG conversion of one polarity."""
+    return Fragment.from_expression(factor_cubes(isop_cubes(table, table, num_vars)), num_vars)
 
 
 @dataclass
@@ -54,16 +71,8 @@ def find_refactor_candidate(
     aig: Aig,
     node: int,
     params: Optional[RefactorParams] = None,
-    fragment_cache: Optional[Dict[Tuple[int, int], Fragment]] = None,
 ) -> Optional[TransformCandidate]:
-    """Return a refactoring candidate at ``node`` or ``None`` (non-mutating).
-
-    ``fragment_cache`` optionally memoizes the factored fragments by
-    ``(table, num_vars)`` — the refactoring analog of the rewriting library,
-    used by the batched sweep scorer where the same cone functions recur
-    across nodes and sweeps.  The cache never changes the result (the
-    factored form is a pure function of the table).
-    """
+    """Return a refactoring candidate at ``node`` or ``None`` (non-mutating)."""
     params = params or RefactorParams()
     if not aig.is_and(node):
         return None
@@ -74,17 +83,7 @@ def find_refactor_candidate(
     if len(deref) < params.min_cone_size:
         return None
     num_vars = len(leaves)
-    table = cut_truth_table(aig, node, leaves)
-
-    # Factor both polarities and keep the cheaper implementation.
-    if fragment_cache is None:
-        fragment = refactor_fragment(table, num_vars)
-    else:
-        key = (table, num_vars)
-        fragment = fragment_cache.get(key)
-        if fragment is None:
-            fragment = refactor_fragment(table, num_vars)
-            fragment_cache[key] = fragment
+    fragment = refactor_fragment(cut_truth_table(aig, node, leaves), num_vars)
 
     leaf_literals = [lit(leaf) for leaf in leaves]
     budget = len(deref) - params.effective_min_gain()

@@ -225,13 +225,6 @@ def score_rewrites(
     return candidates
 
 
-#: Process-wide memo of factored refactoring fragments, keyed by
-#: ``(truth table, num_vars)`` — the refactoring analog of the rewriting
-#: library.  Cone functions recur heavily across nodes and sweeps, and the
-#: factored form is a pure function of the table, so sharing is safe.
-_REFACTOR_FRAGMENTS: Dict[Tuple[int, int], "object"] = {}
-
-
 def score_refactors(
     aig: Aig,
     nodes: Optional[Set[int]] = None,
@@ -240,11 +233,11 @@ def score_refactors(
 ) -> Dict[int, TransformCandidate]:
     """Best refactoring candidate per node against one frozen snapshot.
 
-    The per-node finder runs unchanged, but two batched shortcuts apply:
-    nodes whose *global* MFFC (an upper bound on any cut-bounded MFFC) is
-    already below ``min_cone_size`` are skipped before the expensive
-    collapse-and-factor pipeline, and factored fragments are memoized by
-    truth table across nodes and sweeps.
+    The per-node finder runs unchanged, with one batched shortcut: nodes
+    whose *global* MFFC (an upper bound on any cut-bounded MFFC) is already
+    below ``min_cone_size`` are skipped before the collapse-and-factor
+    pipeline.  (Factored fragments are memoized by truth table inside
+    :func:`~repro.synth.refactor.refactor_fragment` on every path.)
     """
     del sweep_params
     params = params or RefactorParams()
@@ -256,9 +249,7 @@ def score_refactors(
             continue
         if len(view.mffc_nodes(node)) < params.min_cone_size:
             continue
-        candidate = find_refactor_candidate(
-            aig, node, params, fragment_cache=_REFACTOR_FRAGMENTS
-        )
+        candidate = find_refactor_candidate(aig, node, params)
         if candidate is not None:
             candidates[node] = candidate
     return candidates
