@@ -1210,7 +1210,7 @@ def _breakdown(config: Dict) -> int:
     Each design runs the standard pass script pinned to each registered
     backend in turn (best of three on fresh copies, caches warmed), so a
     per-backend regression is visible without re-deriving it from ratio
-    changes.  The op table then shows which compiled engine (numba / cc)
+    changes.  The op table then shows which compiled engine (cc)
     serves each native op — or the fallback reason when the backend
     degraded.
     """

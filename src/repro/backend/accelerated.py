@@ -1,6 +1,6 @@
-"""The accelerated backend: workspaces, raw scipy SpMM, optional Numba.
+"""The accelerated backend: preallocated workspaces and raw scipy SpMM.
 
-Speed comes from three mechanisms, feature-detected per op at construction
+Speed comes from two mechanisms, feature-detected per op at construction
 and falling back op-by-op to the inherited reference code:
 
 * **Preallocated workspaces** — every hot op writes into thread-local,
@@ -15,10 +15,9 @@ and falling back op-by-op to the inherited reference code:
   allocation and format dispatch.  The transposed product accumulates per
   output row in ascending column order exactly like the wrapper's CSC path,
   so it is bitwise-identical — asserted by the parity suite and the bench.
-* **Numba JIT** (optional) — the uint64 simulation inner loop and the cut
-  merge prefilter compile to native loops when ``numba`` is importable.
-  Only exact integer kernels are JIT-compiled; float math stays in numpy so
-  bit-identity never depends on a JIT's floating-point codegen.
+
+Compiled integer loops live one layer up, in
+:class:`repro.backend.native.NativeBackend`.
 
 Every op is gated byte-identical to :class:`ReferenceBackend` by
 ``tests/backend`` and by the benchmark harness's ``identical`` assertions.
@@ -45,12 +44,6 @@ try:  # Optional: BLAS dgemm with beta=1 folds ``out += a @ b`` into one call.
     from scipy.linalg.blas import dgemm as _dgemm
 except Exception:  # pragma: no cover - exercised only without scipy
     _dgemm = None
-
-try:  # Optional: JIT for the exact-integer inner loops.
-    import numba as _numba
-except Exception:  # pragma: no cover - numba is optional everywhere
-    _numba = None
-
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -80,46 +73,6 @@ def _load_table_vars(num_vars: int) -> Tuple[Tuple[int, ...], int]:
 #: changes which implementation runs, never what it returns.
 _SMALL_RESUB = 64
 
-if _numba is not None:  # pragma: no cover - exercised only with numba installed
-
-    @_numba.njit(cache=False)
-    def _numba_simulate_level(values, ids, f0v, f0m, f1v, f1m):  # noqa: ANN001
-        words = values.shape[1]
-        for row in range(ids.shape[0]):
-            target = ids[row]
-            a = f0v[row]
-            b = f1v[row]
-            m0 = f0m[row, 0]
-            m1 = f1m[row, 0]
-            for col in range(words):
-                values[target, col] = (values[a, col] ^ m0) & (values[b, col] ^ m1)
-
-    @_numba.njit(cache=False)
-    def _numba_merge_filter(sig0, sig1, k):  # noqa: ANN001
-        rows, width = sig0.shape
-        capacity = rows * width * width
-        out_row = np.empty(capacity, np.int64)
-        out_a = np.empty(capacity, np.int64)
-        out_b = np.empty(capacity, np.int64)
-        count = 0
-        for row in range(rows):
-            for a in range(width):
-                sa = sig0[row, a]
-                for b in range(width):
-                    merged = sa | sig1[row, b]
-                    # Kernighan popcount with early exit at k bits.
-                    bits = 0
-                    while merged != 0 and bits <= k:
-                        merged &= merged - np.uint64(1)
-                        bits += 1
-                    if bits <= k:
-                        out_row[count] = row
-                        out_a[count] = a
-                        out_b[count] = b
-                        count += 1
-        return out_row[:count], out_a[:count], out_b[:count]
-
-
 class _Workspaces:
     """Shape-checked, key-addressed scratch buffers (one set per thread)."""
 
@@ -137,31 +90,29 @@ class _Workspaces:
 
 
 class AcceleratedBackend(ReferenceBackend):
-    """Workspace + scipy + optional-Numba backend, reference-identical."""
+    """Workspace + scipy backend, reference-identical."""
 
     name = "accelerated"
 
     def __init__(self) -> None:
         self._tls = threading.local()
         self._have_sparsetools = _csr_matvecs is not None
-        self._have_numba = _numba is not None
 
     @staticmethod
     def native_available() -> bool:
-        """Whether any native acceleration beyond plain numpy is importable.
+        """Whether scipy's raw sparse kernels are importable.
 
         Workspace fusion alone already beats the reference, so the backend is
         usable regardless; this only steers the ``"auto"`` selection, which
         picks the reference backend on a bare-numpy install.
         """
-        return _csr_matvecs is not None or _numba is not None
+        return _csr_matvecs is not None
 
     def op_support(self) -> Dict[str, str]:
         spmm = "scipy" if self._have_sparsetools else "fallback:no-scipy-sparsetools"
-        jit = "numba" if self._have_numba else "workspace"
         return {
-            "simulate_level_step": jit,
-            "cut_merge_filter": jit,
+            "simulate_level_step": "workspace",
+            "cut_merge_filter": "workspace",
             "cut_truth_tables": "workspace",
             "cut_table_exact": "cached-vars-cone-walk",
             "resub_zero_match": "fallback:int-compare",
@@ -186,9 +137,6 @@ class AcceleratedBackend(ReferenceBackend):
     # AIG simulation / cut enumeration
     # ------------------------------------------------------------------ #
     def simulate_level_step(self, values, ids, f0v, f0m, f1v, f1m) -> None:
-        if self._have_numba:  # pragma: no cover - requires numba
-            _numba_simulate_level(values, ids, f0v, f0m, f1v, f1m)
-            return
         if ids.shape[0] * values.shape[1] < 4096:
             # Small levels: the reference's plain fancy-indexing beats the
             # take/out choreography; workspaces only pay off once the level
@@ -207,10 +155,6 @@ class AcceleratedBackend(ReferenceBackend):
         values[ids] = v0
 
     def cut_merge_filter(self, sig0, sig1, k):
-        if self._have_numba:  # pragma: no cover - requires numba
-            return _numba_merge_filter(
-                np.ascontiguousarray(sig0), np.ascontiguousarray(sig1), k
-            )
         ws = self._ws()
         rows, width = sig0.shape
         shape = (rows, width, width)

@@ -2,8 +2,8 @@
 
 Every numeric inner loop of the optimizer and the learning pipeline is
 routed through one of the operations below, so alternative implementations
-(preallocated-workspace numpy, scipy raw SpMM, Numba JIT, and eventually
-C/CuPy) can be swapped in without touching pass or training semantics.
+(preallocated-workspace numpy, scipy raw SpMM, cc-compiled C kernels, and
+eventually CuPy) can be swapped in without touching pass or training semantics.
 
 The contract of every op is **bit-identity**: an implementation must return
 byte-for-byte the same result as :class:`repro.backend.reference
@@ -85,7 +85,8 @@ class Backend:
 
         Values are free-form short strings; the convention is the mechanism
         name for native implementations ("numpy", "workspace", "scipy",
-        "numba") and ``"fallback:<reason>"`` for inherited reference code.
+        "cc:<kernel>") and ``"fallback:<reason>"`` for inherited reference
+        code.
         """
         raise NotImplementedError
 

@@ -1,14 +1,14 @@
-"""The native backend: compiled (numba or cc) inner loops, reference-identical.
+"""The native backend: compiled (cc) inner loops, reference-identical.
 
 Third registered backend, layered on :class:`AcceleratedBackend`: it
 overrides exactly the ops whose remaining cost is Python loop overhead —
 the fused level-step simulation, the cut-merge popcount prefilter, the
 exact cone-walk truth table, resub similarity ranking and the 8-combo
 one-match scan, and the sweep-commit conflict screen — and compiles them
-through :mod:`repro.backend.native_kernels` (numba ``njit(cache=True)``
-when importable, else a cc-built shared library loaded via ctypes).
+through :mod:`repro.backend.native_kernels` (a cc-built shared library
+loaded via ctypes).
 
-Degradation is **per op**: when no engine is available, or an input is
+Degradation is **per op**: when the engine is unavailable, or an input is
 under a profitability threshold, or an array fails the layout checks, the
 op silently takes the inherited accelerated/reference path.  Every kernel
 is exact integer arithmetic in the reference's statement order, so byte
@@ -108,7 +108,7 @@ class _ConeScratch:
 
 
 class NativeBackend(AcceleratedBackend):
-    """Compiled-kernel backend (numba/cc engines), reference-identical."""
+    """Compiled-kernel backend (cc engine), reference-identical."""
 
     name = "native"
 
@@ -132,7 +132,7 @@ class NativeBackend(AcceleratedBackend):
 
     @staticmethod
     def native_available() -> bool:
-        """Whether a compiled engine (numba import or cc build) is plausible.
+        """Whether the compiled engine (a cc build) is plausible.
 
         Steers ``"auto"`` selection only; a wrong True degrades per-op to
         the inherited accelerated/reference code, never to an error.
@@ -140,23 +140,19 @@ class NativeBackend(AcceleratedBackend):
         return native_kernels.engine_probable()
 
     def engine_name(self) -> Optional[str]:
-        """The resolved compiled engine ("numba" / "cc"), or None."""
+        """The resolved compiled engine ("cc"), or None."""
         kernels = self._kernels()
         return kernels.engine if kernels is not None else None
 
     def prewarm(self) -> Optional[str]:
-        """Compile/load the engine now so the first job doesn't pay for it.
+        """Build/load the engine now so the first job doesn't pay for it.
 
         Called from the evaluator and service worker initializers.  With the
-        on-disk cache (``BOOLGEBRA_NATIVE_CACHE``) the cost is paid once per
-        machine: numba kernels come back from the JIT cache, the cc library
-        is a single dlopen.  Returns the engine name (None when degraded).
+        on-disk cache (``BOOLGEBRA_NATIVE_CACHE``) the compile is paid once
+        per machine and every later process does a single dlopen.  Returns
+        the engine name (None when degraded).
         """
-        kernels = self._kernels()
-        if kernels is None:
-            return None
-        kernels.prewarm()
-        return kernels.engine
+        return self.engine_name()
 
     def op_support(self) -> Dict[str, str]:
         support = super().op_support()

@@ -1,19 +1,15 @@
-"""Compiled kernel engines for the native backend.
+"""The compiled kernel engine of the native backend.
 
 The :class:`repro.backend.native.NativeBackend` dispatches its hot integer
-loops to one of two *engines*, probed in order:
+loops to the **cc** engine: the kernels as a small C translation unit,
+compiled once with the system C compiler (``cc``/``gcc``/``clang``) into a
+shared library and loaded through :mod:`ctypes`.  The library is
+content-hashed by its source, so a stale cache can never serve mismatched
+kernels.  When no compiler is available, every op falls back per-op to
+numpy.
 
-1. **numba** — ``@njit(cache=True)`` kernels, compiled on first call and
-   persisted in numba's on-disk cache so later processes (service workers,
-   evaluator pools) skip recompilation.
-2. **cc** — the same kernels as a small C translation unit, compiled once
-   with the system C compiler (``cc``/``gcc``/``clang``) into a shared
-   library and loaded through :mod:`ctypes`.  The library is content-hashed
-   by its source, so a stale cache can never serve mismatched kernels.
-
-Both engines write their build artifacts under one cache directory,
-overridable with the ``BOOLGEBRA_NATIVE_CACHE`` environment variable (the
-numba engine maps it onto ``NUMBA_CACHE_DIR``).  A fleet therefore pays the
+The library is written under one cache directory, overridable with the
+``BOOLGEBRA_NATIVE_CACHE`` environment variable.  A fleet therefore pays the
 compile cost once per machine, not once per worker process — the prewarm
 hooks in the evaluator and the service worker pool rely on exactly this.
 
@@ -43,8 +39,8 @@ from repro.obs.metrics import REGISTRY
 #: invariant made visible on /v1/metrics.
 _COMPILE_CACHE = REGISTRY.counter("backend_compile_cache")
 
-#: Environment variable overriding the on-disk compile-cache directory used
-#: by both engines (numba JIT cache and the cc-built shared library).
+#: Environment variable overriding the on-disk compile-cache directory of
+#: the cc-built shared library.
 ENV_CACHE = "BOOLGEBRA_NATIVE_CACHE"
 
 _C_SOURCE = r"""
@@ -586,32 +582,6 @@ class CcKernels:
         )
         return out_row[:count], out_a[:count], out_b[:count]
 
-    @staticmethod
-    def _cone_args(fanin0, fanin1, leaves, tables, stamp, stack, out) -> np.ndarray:
-        args = np.zeros(13, np.int64)
-        args[0] = fanin0.ctypes.data
-        args[1] = fanin1.ctypes.data
-        args[2] = leaves.ctypes.data
-        args[4] = tables.ctypes.data
-        args[5] = stamp.ctypes.data
-        args[6] = stack.ctypes.data
-        args[7] = stack.shape[0]
-        args[12] = out.ctypes.data
-        return args
-
-    def cut_table_exact(
-        self, fanin0, fanin1, root, leaves, leaf_tables, mask, tables, stamp, epoch, stack
-    ) -> Tuple[int, int]:
-        out = np.empty(1, np.uint64)
-        args = self._cone_args(fanin0, fanin1, leaves, tables, stamp, stack, out)
-        args[3] = leaf_tables.ctypes.data
-        args[8] = int(root)
-        args[9] = leaves.shape[0]
-        args[10] = _as_signed_word(mask)
-        args[11] = int(epoch)
-        err = self._fn_cone(args.ctypes.data)
-        return err, int(out[0])
-
     def cone_walker(self, fanin0, fanin1, leaves, tables, stamp, stack, out):
         """A closure over ``bg_cut_table_exact`` with every stable pointer
         pre-resolved into a persistent args block.
@@ -628,7 +598,15 @@ class CcKernels:
         array's identity.
         """
         fn = self._fn_cone
-        args = self._cone_args(fanin0, fanin1, leaves, tables, stamp, stack, out)
+        args = np.zeros(13, np.int64)
+        args[0] = fanin0.ctypes.data
+        args[1] = fanin1.ctypes.data
+        args[2] = leaves.ctypes.data
+        args[4] = tables.ctypes.data
+        args[5] = stamp.ctypes.data
+        args[6] = stack.ctypes.data
+        args[7] = stack.shape[0]
+        args[12] = out.ctypes.data
         args_ptr = args.ctypes.data
         arity_cache = {}
 
@@ -707,508 +685,31 @@ class CcKernels:
     def bitmap_mark(self, bitmap, idx) -> None:
         self._fn_bitmap_mark(bitmap.ctypes.data, idx.ctypes.data, idx.shape[0])
 
-    def prewarm(self) -> None:
-        """No-op: loading the shared library is the whole warm-up."""
-
-
-class NumbaKernels:
-    """``@njit(cache=True)`` kernels mirroring the C translation unit."""
-
-    engine = "numba"
-
-    def __init__(self, numba_module) -> None:
-        njit = numba_module.njit
-
-        @njit(cache=True)
-        def simulate_level_step(values, ids, f0v, f0m, f1v, f1m):  # noqa: ANN001
-            words = values.shape[1]
-            for row in range(ids.shape[0]):
-                target = ids[row]
-                a = f0v[row]
-                b = f1v[row]
-                m0 = f0m[row]
-                m1 = f1m[row]
-                for col in range(words):
-                    values[target, col] = (values[a, col] ^ m0) & (values[b, col] ^ m1)
-
-        @njit(cache=True)
-        def cut_merge_filter(sig0, sig1, k):  # noqa: ANN001
-            rows, width = sig0.shape
-            capacity = rows * width * width
-            out_row = np.empty(capacity, np.int64)
-            out_a = np.empty(capacity, np.int64)
-            out_b = np.empty(capacity, np.int64)
-            count = 0
-            for row in range(rows):
-                for a in range(width):
-                    sa = sig0[row, a]
-                    for b in range(width):
-                        merged = sa | sig1[row, b]
-                        bits = 0
-                        while merged != 0 and bits <= k:
-                            merged &= merged - np.uint64(1)
-                            bits += 1
-                        if bits <= k:
-                            out_row[count] = row
-                            out_a[count] = a
-                            out_b[count] = b
-                            count += 1
-            return out_row[:count], out_a[:count], out_b[:count]
-
-        @njit(cache=True)
-        def cut_table_exact(
-            fanin0, fanin1, root, leaves, leaf_tables, mask, tables, stamp, epoch, stack
-        ):  # noqa: ANN001
-            tables[0] = np.uint64(0)
-            stamp[0] = epoch
-            for i in range(leaves.shape[0]):
-                tables[leaves[i]] = leaf_tables[i]
-                stamp[leaves[i]] = epoch
-            if stamp[root] == epoch:
-                return 0, tables[root]
-            cap = stack.shape[0]
-            sp = 0
-            stack[sp] = root
-            sp += 1
-            while sp > 0:
-                node = stack[sp - 1]
-                f0 = fanin0[node]
-                f1 = fanin1[node]
-                v0 = f0 >> 1
-                v1 = f1 >> 1
-                k0 = stamp[v0] == epoch
-                k1 = stamp[v1] == epoch
-                if k0 and k1:
-                    t0 = tables[v0]
-                    t1 = tables[v1]
-                    if f0 & 1:
-                        t0 ^= mask
-                    if f1 & 1:
-                        t1 ^= mask
-                    tables[node] = t0 & t1
-                    stamp[node] = epoch
-                    sp -= 1
-                else:
-                    if sp + 2 > cap:
-                        return 1, np.uint64(0)
-                    if not k0:
-                        stack[sp] = v0
-                        sp += 1
-                    if not k1:
-                        stack[sp] = v1
-                        sp += 1
-            return 0, tables[root]
-
-        @njit(cache=True)
-        def cut_level_merge(
-            l0, s0, g0, n0, l1, s1, g1, n1, skip, k, limit, out_l, out_s, out_g, out_n
-        ):  # noqa: ANN001
-            # Mirrors bg_cut_level_merge in the C translation unit (and the
-            # Python _insert_cut semantics) decision for decision.
-            count = s0.shape[0]
-            merged = np.empty(64, np.int64)
-            tmp = np.empty(64, np.int64)
-            for row in range(count):
-                out_n[row] = 0
-                if skip[row]:
-                    continue
-                length = 0
-                sorted_len = 0
-                for a in range(n0[row]):
-                    sa = s0[row, a]
-                    siga = g0[row, a]
-                    for b in range(n1[row]):
-                        sig = siga | g1[row, b]
-                        bits = 0
-                        value = sig
-                        while value != 0 and bits <= k:
-                            value &= value - np.uint64(1)
-                            bits += 1
-                        if bits > k:
-                            continue
-                        sb = s1[row, b]
-                        msize = 0
-                        i = 0
-                        j = 0
-                        overflow = False
-                        while i < sa or j < sb:
-                            if j >= sb or (i < sa and l0[row, a, i] < l1[row, b, j]):
-                                v = l0[row, a, i]
-                                i += 1
-                            elif i >= sa or l1[row, b, j] < l0[row, a, i]:
-                                v = l1[row, b, j]
-                                j += 1
-                            else:
-                                v = l0[row, a, i]
-                                i += 1
-                                j += 1
-                            if msize >= k:
-                                overflow = True
-                                break
-                            merged[msize] = v
-                            msize += 1
-                        if overflow:
-                            continue
-                        if length > limit - 1 and sorted_len == length:
-                            last = length - 1
-                            ge = True
-                            if msize != out_s[row, last]:
-                                ge = msize > out_s[row, last]
-                            else:
-                                ge = True
-                                for w in range(msize):
-                                    if merged[w] != out_l[row, last, w]:
-                                        ge = merged[w] > out_l[row, last, w]
-                                        break
-                            if ge:
-                                continue
-                        dominated = False
-                        drop_any = False
-                        for e in range(length):
-                            inter = out_g[row, e] & sig
-                            if inter == out_g[row, e]:
-                                i = 0
-                                j = 0
-                                ne = out_s[row, e]
-                                ok = True
-                                while i < ne and j < msize:
-                                    va = out_l[row, e, i]
-                                    vb = merged[j]
-                                    if va == vb:
-                                        i += 1
-                                        j += 1
-                                    elif va > vb:
-                                        j += 1
-                                    else:
-                                        ok = False
-                                        break
-                                if ok and i == ne:
-                                    dominated = True
-                                    break
-                            if inter == sig:
-                                i = 0
-                                j = 0
-                                ne = out_s[row, e]
-                                ok = True
-                                while i < msize and j < ne:
-                                    va = merged[i]
-                                    vb = out_l[row, e, j]
-                                    if va == vb:
-                                        i += 1
-                                        j += 1
-                                    elif va > vb:
-                                        j += 1
-                                    else:
-                                        ok = False
-                                        break
-                                if ok and i == msize:
-                                    drop_any = True
-                        if dominated:
-                            continue
-                        if drop_any:
-                            for e in range(length - 1, -1, -1):
-                                if (sig & out_g[row, e]) != sig:
-                                    continue
-                                i = 0
-                                j = 0
-                                ne = out_s[row, e]
-                                ok = True
-                                while i < msize and j < ne:
-                                    va = merged[i]
-                                    vb = out_l[row, e, j]
-                                    if va == vb:
-                                        i += 1
-                                        j += 1
-                                    elif va > vb:
-                                        j += 1
-                                    else:
-                                        ok = False
-                                        break
-                                if not (ok and i == msize):
-                                    continue
-                                for m in range(e, length - 1):
-                                    for w in range(k):
-                                        out_l[row, m, w] = out_l[row, m + 1, w]
-                                    out_s[row, m] = out_s[row, m + 1]
-                                    out_g[row, m] = out_g[row, m + 1]
-                                length -= 1
-                                if e < sorted_len:
-                                    sorted_len -= 1
-                        for w in range(msize):
-                            out_l[row, length, w] = merged[w]
-                        out_s[row, length] = msize
-                        out_g[row, length] = sig
-                        length += 1
-                        if length > limit:
-                            if sorted_len >= length - 1:
-                                pos = 0
-                                while pos < length - 1:
-                                    less = False
-                                    if msize != out_s[row, pos]:
-                                        less = msize < out_s[row, pos]
-                                    else:
-                                        for w in range(msize):
-                                            if merged[w] != out_l[row, pos, w]:
-                                                less = merged[w] < out_l[row, pos, w]
-                                                break
-                                    if less:
-                                        break
-                                    pos += 1
-                                tmp_s = out_s[row, length - 1]
-                                tmp_g = out_g[row, length - 1]
-                                for w in range(k):
-                                    tmp[w] = out_l[row, length - 1, w]
-                                for m in range(length - 2, pos - 1, -1):
-                                    for w in range(k):
-                                        out_l[row, m + 1, w] = out_l[row, m, w]
-                                    out_s[row, m + 1] = out_s[row, m]
-                                    out_g[row, m + 1] = out_g[row, m]
-                                for w in range(k):
-                                    out_l[row, pos, w] = tmp[w]
-                                out_s[row, pos] = tmp_s
-                                out_g[row, pos] = tmp_g
-                                length -= 1
-                            else:
-                                for m in range(1, length):
-                                    tmp_s = out_s[row, m]
-                                    tmp_g = out_g[row, m]
-                                    for w in range(k):
-                                        tmp[w] = out_l[row, m, w]
-                                    pos = m
-                                    while pos > 0:
-                                        less = False
-                                        if tmp_s != out_s[row, pos - 1]:
-                                            less = tmp_s < out_s[row, pos - 1]
-                                        else:
-                                            for w in range(tmp_s):
-                                                if tmp[w] != out_l[row, pos - 1, w]:
-                                                    less = tmp[w] < out_l[row, pos - 1, w]
-                                                    break
-                                        if not less:
-                                            break
-                                        for w in range(k):
-                                            out_l[row, pos, w] = out_l[row, pos - 1, w]
-                                        out_s[row, pos] = out_s[row, pos - 1]
-                                        out_g[row, pos] = out_g[row, pos - 1]
-                                        pos -= 1
-                                    for w in range(k):
-                                        out_l[row, pos, w] = tmp[w]
-                                    out_s[row, pos] = tmp_s
-                                    out_g[row, pos] = tmp_g
-                                length = limit
-                            sorted_len = limit
-                out_n[row] = length
-
-        @njit(cache=True)
-        def resub_similarity(packed, target, mask, out):  # noqa: ANN001
-            n, words = packed.shape
-            for i in range(n):
-                agree = 0
-                compl_agree = 0
-                for w in range(words):
-                    delta = packed[i, w] ^ target[w]
-                    value = delta
-                    while value != 0:
-                        value &= value - np.uint64(1)
-                        agree += 1
-                    value = delta ^ mask[w]
-                    while value != 0:
-                        value &= value - np.uint64(1)
-                        compl_agree += 1
-                out[i] = min(agree, compl_agree)
-
-        @njit(cache=True)
-        def resub_one_match(packed, target, mask, out):  # noqa: ANN001
-            n, words = packed.shape
-            for i in range(n):
-                for j in range(i + 1, n):
-                    for ca in range(2):
-                        for cb in range(2):
-                            direct_ok = True
-                            inverted_ok = True
-                            for w in range(words):
-                                a = packed[i, w] ^ mask[w] if ca else packed[i, w]
-                                b = packed[j, w] ^ mask[w] if cb else packed[j, w]
-                                conj = a & b
-                                if conj != target[w]:
-                                    direct_ok = False
-                                if (conj ^ mask[w]) != target[w]:
-                                    inverted_ok = False
-                                if not direct_ok and not inverted_ok:
-                                    break
-                            if direct_ok:
-                                out[0] = i
-                                out[1] = j
-                                out[2] = (ca << 2) | (cb << 1)
-                                return True
-                            if inverted_ok:
-                                out[0] = i
-                                out[1] = j
-                                out[2] = (ca << 2) | (cb << 1) | 1
-                                return True
-            return False
-
-        @njit(cache=True)
-        def bitmap_any(bitmap, idx):  # noqa: ANN001
-            for i in range(idx.shape[0]):
-                if bitmap[idx[i]]:
-                    return True
-            return False
-
-        @njit(cache=True)
-        def bitmap_mark(bitmap, idx):  # noqa: ANN001
-            for i in range(idx.shape[0]):
-                bitmap[idx[i]] = 1
-
-        self._simulate_level_step = simulate_level_step
-        self._cut_merge_filter = cut_merge_filter
-        self._cut_table_exact = cut_table_exact
-        self._cut_level_merge = cut_level_merge
-        self._resub_similarity = resub_similarity
-        self._resub_one_match = resub_one_match
-        self._bitmap_any = bitmap_any
-        self._bitmap_mark = bitmap_mark
-
-    def simulate_level_step(self, values, ids, f0v, f0m, f1v, f1m) -> None:
-        self._simulate_level_step(values, ids, f0v, f0m, f1v, f1m)
-
-    def cut_merge_filter(self, sig0, sig1, k):
-        return self._cut_merge_filter(sig0, sig1, k)
-
-    def cut_table_exact(
-        self, fanin0, fanin1, root, leaves, leaf_tables, mask, tables, stamp, epoch, stack
-    ) -> Tuple[int, int]:
-        err, value = self._cut_table_exact(
-            fanin0, fanin1, root, leaves, leaf_tables,
-            np.uint64(mask), tables, stamp, np.uint32(epoch), stack,
-        )
-        return err, int(value)
-
-    def cone_walker(self, fanin0, fanin1, leaves, tables, stamp, stack, out):
-        """Same shape as :meth:`CcKernels.cone_walker`; ``out`` is unused —
-        the jitted kernel returns its value directly."""
-        kernel = self._cut_table_exact
-
-        def walk(root, num_leaves, leaf_tables, mask, epoch):
-            err, value = kernel(
-                fanin0,
-                fanin1,
-                root,
-                leaves[:num_leaves],
-                leaf_tables,
-                np.uint64(mask),
-                tables,
-                stamp,
-                np.uint32(epoch),
-                stack,
-            )
-            return err, int(value)
-
-        return walk
-
-    def cut_level_merge(
-        self, l0, s0, g0, n0, l1, s1, g1, n1, skip, k, limit, out_l, out_s, out_g, out_n
-    ) -> None:
-        self._cut_level_merge(
-            l0, s0, g0, n0, l1, s1, g1, n1, skip,
-            np.int64(k), np.int64(limit), out_l, out_s, out_g, out_n,
-        )
-
-    def resub_similarity(self, packed, target, mask) -> np.ndarray:
-        out = np.empty(packed.shape[0], np.int64)
-        self._resub_similarity(packed, target, mask, out)
-        return out
-
-    def resub_one_match(self, packed, target, mask) -> Optional[Tuple[int, int, int]]:
-        out = np.empty(3, np.int64)
-        if not self._resub_one_match(packed, target, mask, out):
-            return None
-        return int(out[0]), int(out[1]), int(out[2])
-
-    def bitmap_any(self, bitmap, idx) -> bool:
-        return bool(self._bitmap_any(bitmap, idx))
-
-    def bitmap_mark(self, bitmap, idx) -> None:
-        self._bitmap_mark(bitmap, idx)
-
-    def prewarm(self) -> None:
-        """Force JIT compilation of every kernel on tiny inputs.
-
-        With ``cache=True`` the compiled machine code lands in numba's
-        on-disk cache (under :func:`cache_dir`), so every later process —
-        and every later call in this one — loads instead of compiling.
-        """
-        values = np.zeros((3, 1), np.uint64)
-        ids = np.array([2], np.int64)
-        fv = np.array([1], np.int64)
-        fm = np.zeros(1, np.uint64)
-        self.simulate_level_step(values, ids, fv, fm, fv, fm)
-        sig = np.zeros((1, 1), np.uint64)
-        self.cut_merge_filter(sig, sig, 4)
-        lvl_l = np.zeros((1, 2, 2), np.int64)
-        lvl_l[0, 0, 0] = 1
-        lvl_s = np.ones((1, 2), np.int64)
-        lvl_g = np.full((1, 2), 2, np.uint64)
-        lvl_n = np.ones(1, np.int64)
-        self.cut_level_merge(
-            lvl_l, lvl_s, lvl_g, lvl_n,
-            lvl_l.copy(), lvl_s.copy(), lvl_g.copy(), lvl_n.copy(),
-            np.zeros(1, np.uint8), 2, 1,
-            np.zeros((1, 2, 2), np.int64), np.zeros((1, 2), np.int64),
-            np.zeros((1, 2), np.uint64), np.zeros(1, np.int64),
-        )
-        fanin = np.array([0, 0, 2 << 1], np.int64)
-        self.cut_table_exact(
-            fanin,
-            np.array([0, 0, 1 << 1], np.int64),
-            1,
-            np.array([1], np.int64),
-            np.array([2], np.uint64),
-            3,
-            np.zeros(3, np.uint64),
-            np.zeros(3, np.uint32),
-            1,
-            np.zeros(16, np.int64),
-        )
-        packed = np.zeros((2, 1), np.uint64)
-        word = np.zeros(1, np.uint64)
-        self.resub_similarity(packed, word, word)
-        self.resub_one_match(packed, word, word)
-        bitmap = np.zeros(2, np.uint8)
-        idx = np.array([1], np.int64)
-        self.bitmap_mark(bitmap, idx)
-        self.bitmap_any(bitmap, idx)
-
 
 #: Cached engine resolution: (kernels-or-None, reason).  Keyed by the cache
 #: directory so tests overriding BOOLGEBRA_NATIVE_CACHE get a fresh probe.
-_ENGINE: Optional[Tuple[Optional[object], str, str]] = None
+_ENGINE: Optional[Tuple[Optional[CcKernels], str, str]] = None
 _ENGINE_LOCK = threading.Lock()
 
 
-def load_engine() -> Tuple[Optional[object], str]:
-    """Resolve the compiled engine once per process: numba, else cc, else None.
+def load_engine() -> Tuple[Optional[CcKernels], str]:
+    """Resolve the compiled engine once per process: cc, else None.
 
-    Returns ``(kernels, reason)``; ``kernels`` is None when no engine is
-    available and ``reason`` says why (surfaced through ``op_support()``).
+    Returns ``(kernels, reason)``; ``kernels`` is None when the library
+    cannot be built or loaded and ``reason`` says why (for example
+    ``"cc: RuntimeError"``, surfaced through ``op_support()``).
     """
     global _ENGINE
     key = cache_dir()
     with _ENGINE_LOCK:
         if _ENGINE is not None and _ENGINE[2] == key:
             return _ENGINE[0], _ENGINE[1]
-        kernels: Optional[object] = None
+        kernels: Optional[CcKernels] = None
         reason = ""
         try:
-            os.environ.setdefault("NUMBA_CACHE_DIR", key)
-            import numba  # noqa: F401
-
-            kernels = NumbaKernels(numba)
-        except Exception:
-            try:
-                kernels = CcKernels(build_library())
-            except Exception as error:
-                reason = f"no-numba, cc: {type(error).__name__}"
+            kernels = CcKernels(build_library())
+        except Exception as error:
+            reason = f"cc: {type(error).__name__}"
         _ENGINE = (kernels, reason, key)
         return kernels, reason
 
@@ -1223,16 +724,9 @@ def reset_engine_cache() -> None:
 def engine_probable() -> bool:
     """Cheap probe: could :func:`load_engine` plausibly succeed?
 
-    Used by ``"auto"`` backend selection, so it must not import numba or
-    invoke the compiler — a wrong True only costs per-op fallback.
+    Used by ``"auto"`` backend selection, so it must not invoke the
+    compiler — a wrong True only costs per-op fallback.
     """
     if _ENGINE is not None and _ENGINE[0] is not None:
         return True
-    import importlib.util
-
-    try:
-        if importlib.util.find_spec("numba") is not None:
-            return True
-    except (ImportError, ValueError):  # pragma: no cover - exotic meta-path
-        pass
     return os.path.exists(library_path()) or find_compiler() is not None

@@ -5,9 +5,9 @@ Selection order for the process-wide default backend:
 1. an explicit :func:`set_default_backend` / :func:`use_backend` call
    (``FlowConfig.backend`` and ``Trainer(backend=...)`` route through these),
 2. the ``BOOLGEBRA_BACKEND`` environment variable,
-3. ``"auto"``: the native backend when a compiled engine (numba import or a
-   cc-built kernel library) is plausible, else the accelerated backend when
-   any of its native accelerations are importable, else the reference.
+3. ``"auto"``: the native backend when its compiled engine (a cc-built
+   kernel library) is plausible, else the accelerated backend when scipy's
+   raw sparse kernels are importable, else the reference.
 
 Backends are instantiated lazily (one cached instance per name), so merely
 importing :mod:`repro.backend` stays cheap and free of optional-dependency
@@ -55,9 +55,9 @@ def create_backend(name: str) -> Backend:
     """Instantiate (or return the cached instance of) backend ``name``.
 
     ``"auto"`` resolves to the native backend when a compiled engine is
-    plausible (numba importable, a cached cc kernel library, or a system C
-    compiler), else to the accelerated backend when any of its native
-    accelerations are importable, else to the reference backend.  A wrong
+    plausible (a cached cc kernel library, or a system C compiler), else to
+    the accelerated backend when scipy's raw sparse kernels are importable,
+    else to the reference backend.  A wrong
     "plausible" only costs per-op fallback inside the native backend.
     """
     if name == "auto":

@@ -259,7 +259,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         engine_name = getattr(backend, "engine_name", None)
         if engine_name is not None:
             # The native backend also reports its resolved compiled engine
-            # ("numba" / "cc"), or null when it degraded.
+            # ("cc"), or null when it degraded.
             info["engine"] = engine_name()
         payload["backends"][name] = info
     if args.json:

@@ -124,8 +124,8 @@ def _init_worker(
         # (``use_backend`` / ``FlowConfig.backend``) do not travel with the
         # environment, so the pool passes the effective name explicitly.
         set_default_backend(backend_name)
-    # Compile/load the backend's kernels once per worker (numba JIT cache,
-    # cc shared library) so the first evaluated chunk never pays for them.
+    # Build/load the backend's cc kernel library once per worker so the
+    # first evaluated chunk never pays for it.
     prewarm_default_backend()
     _WORKER_STATE["aig"] = pickle.loads(aig_bytes)
     _WORKER_STATE["params"] = params

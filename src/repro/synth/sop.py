@@ -10,7 +10,7 @@ exchange format between ISOP extraction and algebraic factoring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.aig.truth import cached_table_var, table_mask
 
@@ -43,17 +43,6 @@ class Cube:
             var += 1
         return result
 
-    def contains_literal(self, var: int, negative: bool) -> bool:
-        """Return whether the cube contains the given literal."""
-        mask = self.neg if negative else self.pos
-        return bool((mask >> var) & 1)
-
-    def remove_literal(self, var: int, negative: bool) -> "Cube":
-        """Return a copy of the cube with one literal dropped."""
-        if negative:
-            return Cube(self.pos, self.neg & ~(1 << var))
-        return Cube(self.pos & ~(1 << var), self.neg)
-
     def truth_table(self, num_vars: int) -> int:
         """Return the truth table of the cube over ``num_vars`` variables."""
         table = table_mask(num_vars)
@@ -81,49 +70,3 @@ def cover_truth_table(cover: Sequence[Cube], num_vars: int) -> int:
 def cover_num_literals(cover: Sequence[Cube]) -> int:
     """Return the total literal count of the cover (the classic cost metric)."""
     return sum(cube.num_literals for cube in cover)
-
-
-def cover_support(cover: Sequence[Cube]) -> int:
-    """Return the bitmask of variables appearing anywhere in the cover."""
-    mask = 0
-    for cube in cover:
-        mask |= cube.pos | cube.neg
-    return mask
-
-
-def literal_counts(cover: Sequence[Cube], num_vars: int) -> List[Tuple[int, int]]:
-    """Return ``(positive_count, negative_count)`` per variable across the cover."""
-    counts = [(0, 0)] * num_vars
-    counts = [[0, 0] for _ in range(num_vars)]
-    for cube in cover:
-        for var, negative in cube.literals():
-            counts[var][1 if negative else 0] += 1
-    return [(pos, neg) for pos, neg in counts]
-
-
-def divide_by_literal(cover: Sequence[Cube], var: int, negative: bool) -> Tuple[Cover, Cover]:
-    """Divide the cover by a single literal.
-
-    Returns ``(quotient, remainder)`` such that
-    ``cover == literal * quotient + remainder`` algebraically.
-    """
-    quotient: Cover = []
-    remainder: Cover = []
-    for cube in cover:
-        if cube.contains_literal(var, negative):
-            quotient.append(cube.remove_literal(var, negative))
-        else:
-            remainder.append(cube)
-    return quotient, remainder
-
-
-def cube_from_literals(literals: Iterable[Tuple[int, bool]]) -> Cube:
-    """Build a cube from ``(variable, is_complemented)`` pairs."""
-    pos = 0
-    neg = 0
-    for var, negative in literals:
-        if negative:
-            neg |= 1 << var
-        else:
-            pos |= 1 << var
-    return Cube(pos, neg)

@@ -40,7 +40,7 @@ All numeric inner loops — cut truth tables, the exact cone walk, the
 conflict screen of the commit phase — dispatch through the selected compute
 backend (:mod:`repro.backend`), so the same sweep code runs on the pure
 numpy reference, the vectorized accelerated backend, or the compiled
-(numba/cc) native backend; the tracked ``pass_sweep`` benchmark measures
+(cc) native backend; the tracked ``pass_sweep`` benchmark measures
 this engine on the native backend against the sequential drivers on the
 reference.
 """

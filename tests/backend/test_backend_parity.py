@@ -10,7 +10,7 @@ on hypothesis-generated networks, parametrized over every optimized backend,
 and additionally hit the size regimes (small/large divisor sets) that select
 different internal code paths inside the ops.  The native backend degrades
 per op when no compiled engine is available, so the suite is meaningful
-(if less sharp) even on installs without numba or a C compiler.
+(if less sharp) even on installs without a C compiler.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The byte-identity of the native ops against the reference is covered by the
 parametrized ``test_backend_parity`` suite; this module covers what is
-unique to the native backend — engine resolution (numba / cc), the per-op
+unique to the native backend — engine resolution (cc), the per-op
 degradation contract when no engine exists, the persistent compile cache
 (``BOOLGEBRA_NATIVE_CACHE``) with worker prewarm, and the whole-level
 cut-merge capability the enumerator feature-detects.
@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import types
 
 import pytest
 
@@ -69,7 +70,7 @@ def _degraded(monkeypatch):
 
 
 # --------------------------------------------------------------------------- #
-# Per-op fallback (simulated missing numba / cc)
+# Per-op fallback (simulated missing cc engine)
 # --------------------------------------------------------------------------- #
 def test_no_engine_reports_fallback_support(no_engine):
     support = no_engine.op_support()
@@ -173,13 +174,7 @@ def test_enumerate_identical_under_native_engine(k):
 # --------------------------------------------------------------------------- #
 # Compile cache + prewarm
 # --------------------------------------------------------------------------- #
-def _force_cc(monkeypatch):
-    """Make load_engine take the cc branch even where numba is installed."""
-    monkeypatch.setitem(sys.modules, "numba", None)  # import numba -> ImportError
-
-
 def test_cc_cache_artifact_created_and_reused(fresh_cache, monkeypatch):
-    _force_cc(monkeypatch)
     if native_kernels.find_compiler() is None:
         pytest.skip("no C compiler on PATH")
     kernels, reason = native_kernels.load_engine()
@@ -199,8 +194,21 @@ def test_cc_cache_artifact_created_and_reused(fresh_cache, monkeypatch):
     assert kernels is not None and kernels.engine == "cc", reason
 
 
+def test_load_engine_ignores_numba_and_leaves_environment(fresh_cache, monkeypatch):
+    # An importable numba must neither displace the cc engine nor leak a
+    # NUMBA_CACHE_DIR into this process (and from it into every worker).
+    if native_kernels.find_compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    stub = types.ModuleType("numba")
+    stub.njit = lambda **kwargs: (lambda function: function)
+    monkeypatch.setitem(sys.modules, "numba", stub)
+    monkeypatch.delenv("NUMBA_CACHE_DIR", raising=False)
+    kernels, reason = native_kernels.load_engine()
+    assert kernels is not None and kernels.engine == "cc", reason
+    assert "NUMBA_CACHE_DIR" not in os.environ
+
+
 def test_prewarm_default_backend_warms_native(fresh_cache, monkeypatch):
-    _force_cc(monkeypatch)
     if native_kernels.find_compiler() is None:
         pytest.skip("no C compiler on PATH")
     set_default_backend("reference")
@@ -243,5 +251,5 @@ def test_cli_backends_json_reports_native_engine(capsys):
     assert main(["backends", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     native = payload["backends"]["native"]
-    assert "engine" in native  # "numba", "cc", or null when degraded
+    assert native["engine"] in ("cc", None)  # null when degraded
     assert "cut_level_merge" in native["ops"]

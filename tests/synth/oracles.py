@@ -168,9 +168,12 @@ def factor_cover(cover: Cover) -> Expr:
 
     quotient: Cover = []
     remainder: Cover = []
+    bit = 1 << best_var
     for cube in cover:
-        if cube.contains_literal(best_var, best_negative):
-            quotient.append(cube.remove_literal(best_var, best_negative))
+        if best_negative and cube.neg & bit:
+            quotient.append(Cube(cube.pos, cube.neg & ~bit))
+        elif not best_negative and cube.pos & bit:
+            quotient.append(Cube(cube.pos & ~bit, cube.neg))
         else:
             remainder.append(cube)
     divided = Expr.and_([Expr.literal(best_var, best_negative), factor_cover(quotient)])

@@ -3,15 +3,7 @@
 import pytest
 
 from repro.aig.truth import table_mask
-from repro.synth.sop import (
-    Cube,
-    cover_num_literals,
-    cover_support,
-    cover_truth_table,
-    cube_from_literals,
-    divide_by_literal,
-    literal_counts,
-)
+from repro.synth.sop import Cube, cover_num_literals, cover_truth_table
 
 
 def test_cube_rejects_conflicting_polarity():
@@ -23,15 +15,6 @@ def test_cube_literals_and_count():
     cube = Cube(pos=0b101, neg=0b010)
     assert cube.num_literals == 3
     assert cube.literals() == [(0, False), (1, True), (2, False)]
-
-
-def test_cube_contains_and_remove():
-    cube = Cube(pos=0b1, neg=0b10)
-    assert cube.contains_literal(0, False)
-    assert cube.contains_literal(1, True)
-    assert not cube.contains_literal(0, True)
-    reduced = cube.remove_literal(1, True)
-    assert reduced == Cube(pos=0b1, neg=0)
 
 
 def test_cube_truth_table():
@@ -55,26 +38,4 @@ def test_cover_truth_table_is_disjunction():
 def test_cover_literal_count_and_support():
     cover = [Cube(pos=0b011, neg=0), Cube(pos=0b100, neg=0b010)]
     assert cover_num_literals(cover) == 4
-    assert cover_support(cover) == 0b111
 
-
-def test_literal_counts():
-    cover = [Cube(pos=0b01, neg=0), Cube(pos=0b01, neg=0b10), Cube(pos=0, neg=0b10)]
-    counts = literal_counts(cover, 2)
-    assert counts[0] == (2, 0)
-    assert counts[1] == (0, 2)
-
-
-def test_divide_by_literal():
-    cover = [Cube(pos=0b011, neg=0), Cube(pos=0b101, neg=0), Cube(pos=0, neg=0b001)]
-    quotient, remainder = divide_by_literal(cover, 0, False)
-    assert len(quotient) == 2
-    assert len(remainder) == 1
-    assert all(not cube.contains_literal(0, False) for cube in quotient)
-
-
-def test_cube_from_literals_roundtrip():
-    cube = cube_from_literals([(0, False), (3, True)])
-    assert cube.pos == 0b0001
-    assert cube.neg == 0b1000
-    assert cube.literals() == [(0, False), (3, True)]
